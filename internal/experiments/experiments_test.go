@@ -204,6 +204,46 @@ func TestTableIInventory(t *testing.T) {
 	}
 }
 
+// tableIIPins pins the default platform's quick Table II fidelity for
+// every (bench, method), captured before the coherence times moved onto
+// device.Profile. The values are pure functions of the analytical model,
+// so they must match bit for bit.
+var tableIIPins = []struct {
+	bench, method string
+	fidelity      float64
+}{
+	{"4gt10-v1_81", "accqoc_n3d3", 0.4367504912285905},
+	{"4gt10-v1_81", "accqoc_n3d5", 0.5515446585080845},
+	{"4gt10-v1_81", "paqoc_m0", 0.7881653413495994},
+	{"4gt10-v1_81", "paqoc_mtuned", 0.7881653413495994},
+	{"4gt10-v1_81", "paqoc_minf", 0.7998430857699635},
+	{"decod24-v1_41", "accqoc_n3d3", 0.6501816422540915},
+	{"decod24-v1_41", "accqoc_n3d5", 0.7325328963172538},
+	{"decod24-v1_41", "paqoc_m0", 0.8635803659661527},
+	{"decod24-v1_41", "paqoc_mtuned", 0.8635803659661527},
+	{"decod24-v1_41", "paqoc_minf", 0.8635803659661527},
+	{"hwb4_49", "accqoc_n3d3", 0.2698728210253383},
+	{"hwb4_49", "accqoc_n3d5", 0.36932937716757797},
+	{"hwb4_49", "paqoc_m0", 0.6919539501007131},
+	{"hwb4_49", "paqoc_mtuned", 0.6919376024049506},
+	{"hwb4_49", "paqoc_minf", 0.6774748996175609},
+	{"rd32_270", "accqoc_n3d3", 0.6355006276857526},
+	{"rd32_270", "accqoc_n3d5", 0.7348883351831678},
+	{"rd32_270", "paqoc_m0", 0.8438043738863651},
+	{"rd32_270", "paqoc_mtuned", 0.8492926382048447},
+	{"rd32_270", "paqoc_minf", 0.8492926382048447},
+	{"bb84", "accqoc_n3d3", 0.9339545062893817},
+	{"bb84", "accqoc_n3d5", 0.9431018859584328},
+	{"bb84", "paqoc_m0", 0.9524831374524156},
+	{"bb84", "paqoc_mtuned", 0.9524831374524156},
+	{"bb84", "paqoc_minf", 0.9524831374524156},
+	{"simon", "accqoc_n3d3", 0.8406735281861378},
+	{"simon", "accqoc_n3d5", 0.8815562119834589},
+	{"simon", "paqoc_m0", 0.9207293893996495},
+	{"simon", "paqoc_mtuned", 0.9191908372525209},
+	{"simon", "paqoc_minf", 0.9191908372525209},
+}
+
 func TestTableIIFidelityShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Table II sweep in -short mode")
@@ -229,6 +269,20 @@ func TestTableIIFidelityShape(t *testing.T) {
 		// Table II: a paqoc variant wins on every benchmark.
 		if !strings.HasPrefix(best, "paqoc") {
 			t.Errorf("%s: best method %s (%.4f); paper has paqoc best everywhere", r.Bench, best, bestF)
+		}
+	}
+	got := map[[2]string]float64{}
+	for _, r := range rows {
+		for m, f := range r.Fidelity {
+			got[[2]string{r.Bench, m}] = f
+		}
+	}
+	if len(got) != len(tableIIPins) {
+		t.Errorf("%d (bench, method) fidelities, want %d", len(got), len(tableIIPins))
+	}
+	for _, w := range tableIIPins {
+		if f := got[[2]string{w.bench, w.method}]; f != w.fidelity {
+			t.Errorf("%s/%s: fidelity %.17g, want %.17g", w.bench, w.method, f, w.fidelity)
 		}
 	}
 	var buf bytes.Buffer

@@ -21,7 +21,6 @@ import (
 	"paqoc/internal/experiments"
 	"paqoc/internal/grape"
 	"paqoc/internal/latency"
-	"paqoc/internal/noise"
 	"paqoc/internal/paqoc"
 	"paqoc/internal/pulse"
 	"paqoc/internal/topology"
@@ -388,9 +387,8 @@ func BenchmarkCrossBackend(b *testing.B) {
 // BenchmarkTableIINoisy regenerates the density-matrix Table II.
 func BenchmarkTableIINoisy(b *testing.B) {
 	p := experiments.DefaultPlatform()
-	params := noise.NISQDefaults()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.TableIINoisy(p, params)
+		rows, err := experiments.TableIINoisy(p)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -28,7 +28,6 @@ import (
 	"paqoc/internal/bench"
 	"paqoc/internal/device"
 	"paqoc/internal/experiments"
-	"paqoc/internal/noise"
 	"paqoc/internal/obs"
 )
 
@@ -131,7 +130,7 @@ func main() {
 			check(err)
 			experiments.PrintTableII(out, rows)
 		case "table2noisy":
-			rows, err := experiments.TableIINoisy(p, noise.NISQDefaults())
+			rows, err := experiments.TableIINoisy(p)
 			check(err)
 			experiments.PrintTableIINoisy(out, rows)
 		case "table2full":

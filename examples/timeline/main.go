@@ -10,23 +10,27 @@ import (
 	"log"
 
 	"paqoc/internal/bench"
+	"paqoc/internal/device"
 	"paqoc/internal/paqoc"
 	"paqoc/internal/pulsesim"
 	"paqoc/internal/route"
-	"paqoc/internal/topology"
 	"paqoc/internal/transpile"
 )
 
 func main() {
 	logical := bench.QFT(5)
-	topo := topology.Grid(3, 3)
+	prof, err := device.Lookup("xy-grid-3x3")
+	if err != nil {
+		log.Fatal(err)
+	}
+	topo := prof.Topology()
 	phys, _, err := transpile.ToPhysical(logical, topo, route.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
 	cfg := paqoc.DefaultConfig()
 	cfg.M = paqoc.MInf
-	res, err := paqoc.New(nil, topo, cfg).CompileCtx(context.Background(), phys)
+	res, err := paqoc.NewForProfile(nil, prof, cfg).CompileCtx(context.Background(), phys)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,7 +47,7 @@ func main() {
 	fmt.Printf("peak concurrency: %d blocks in flight\n\n", tl.Concurrency())
 	fmt.Print(tl.RenderASCII(topo.NumQubits, 32))
 
-	idle := pulsesim.IdleDephasing(tl, topo.NumQubits, pulsesim.DefaultT2)
+	idle := pulsesim.IdleDephasing(tl, topo.NumQubits, prof.T2Dt)
 	fmt.Printf("\nESP %.4f × idle-dephasing %.4f → refined success estimate %.4f\n",
 		res.ESP, idle, res.ESP*idle)
 }

@@ -57,8 +57,7 @@ func (p *Platform) Ablation(benchName string) ([]AblationRow, error) {
 	for _, cc := range configs {
 		cfg := base()
 		cc.mutate(&cfg)
-		comp := p.newCompiler(nil, cfg)
-		res, err := comp.CompileCtx(context.Background(), phys)
+		res, err := paqoc.NewForProfile(nil, p.Profile, cfg).CompileCtx(context.Background(), phys)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", cc.name, err)
 		}

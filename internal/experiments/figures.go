@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 
 	"paqoc/internal/bench"
 	"paqoc/internal/circuit"
@@ -233,8 +232,7 @@ func Fig14(p *Platform, specs []bench.Spec) (*Fig14Result, error) {
 		cfg := paqocpkg.DefaultConfig()
 		cfg.M = paqocpkg.MInf
 		cfg.FidelityTarget = p.Fidelity
-		comp := paqocpkg.New(nil, p.Topo, cfg)
-		out, err := comp.CompileCtx(context.Background(), phys)
+		out, err := paqocpkg.NewForProfile(nil, p.Profile, cfg).CompileCtx(context.Background(), phys)
 		if err != nil {
 			return nil, err
 		}
@@ -292,5 +290,3 @@ func (r *Fig14Result) Print(w io.Writer) {
 	fmt.Fprintf(w, "linear fit: t = %.4f·gates %+.2f  (R² = %.3f)\n", r.Slope, r.Intercept, r.R2)
 	fmt.Fprintf(w, "paper: <25 min at ~1200 gates, near-linear scaling\n")
 }
-
-var _ = math.Sqrt

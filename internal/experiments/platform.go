@@ -14,28 +14,28 @@ import (
 	"paqoc/internal/accqoc"
 	"paqoc/internal/bench"
 	"paqoc/internal/circuit"
+	"paqoc/internal/critical"
 	"paqoc/internal/device"
 	"paqoc/internal/engine"
-	"paqoc/internal/hamiltonian"
 	"paqoc/internal/latency"
 	"paqoc/internal/mining"
 	"paqoc/internal/obs"
 	"paqoc/internal/paqoc"
-	"paqoc/internal/pulse"
 	"paqoc/internal/route"
 	"paqoc/internal/topology"
 	"paqoc/internal/transpile"
 )
 
 // Platform is the evaluation platform of §VI-c: a 5×5 grid with XY
-// interaction, Sabre routing, and fidelity target 0.999.
+// interaction, Sabre routing, and fidelity target 0.999. Build it with
+// PlatformFor (or DefaultPlatform); Profile is always set.
 type Platform struct {
 	Topo      *topology.Topology
 	RouteOpts route.Options
 	Fidelity  float64
-	// Profile identifies the device backend the platform targets. Nil
-	// (tests constructing a Platform by hand) behaves as the paper's
-	// platform on whatever Topo is set.
+	// Profile is the device backend the platform targets: its topology,
+	// control bounds, Hamiltonian and coherence times are the only source
+	// of device physics in every experiment.
 	Profile *device.Profile
 	// Obs optionally threads observability (internal/obs) through every
 	// compiled method; nil keeps the sweeps uninstrumented.
@@ -69,15 +69,6 @@ func PlatformFor(prof *device.Profile) *Platform {
 	}
 }
 
-// params returns the profile's control parameters, or the zero value (the
-// paper's defaults) for profile-less platforms.
-func (p *Platform) params() hamiltonian.Params {
-	if p.Profile == nil {
-		return hamiltonian.Params{}
-	}
-	return p.Profile.Params()
-}
-
 // Physical lowers a logical benchmark onto the platform: decompose to the
 // universal basis, Sabre-route, decompose inserted SWAPs.
 func (p *Platform) Physical(spec bench.Spec) (*circuit.Circuit, error) {
@@ -107,21 +98,33 @@ type MethodResult struct {
 // independent, exactly as separate compiler invocations would be.
 func (p *Platform) RunMethods(phys *circuit.Circuit) ([]MethodResult, error) {
 	var out []MethodResult
-	ctx := p.Obs.Attach(context.Background())
+	err := p.compileMethods(phys, func(r MethodResult, _ *critical.BlockCircuit) {
+		out = append(out, r)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
 
+// compileMethods compiles the physical circuit under each method in
+// presentation order and hands visit the metrics together with the
+// method's block circuit. It keeps no block circuit once visit returns.
+func (p *Platform) compileMethods(phys *circuit.Circuit, visit func(MethodResult, *critical.BlockCircuit)) error {
+	ctx := p.Obs.Attach(context.Background())
 	for _, depth := range []int{3, 5} {
 		gen := latency.NewModel()
 		gen.Topo = p.Topo
-		gen.Params = p.params()
+		gen.Params = p.Profile.Params()
 		// Permuted-qubit pulse reuse is a PAQOC contribution (§V-B); the
 		// AccQOC baseline relies on exact and similarity matches only.
 		gen.DB.DetectPermutations = false
 		opts := accqoc.Options{MaxQubits: 3, Depth: depth, FidelityTarget: p.Fidelity}
 		res, err := accqoc.CompileCtx(ctx, phys, gen, opts)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out = append(out, MethodResult{
+		visit(MethodResult{
 			Method:       fmt.Sprintf("accqoc_n3d%d", depth),
 			Latency:      res.Latency,
 			TotalLatency: res.TotalLatency,
@@ -129,10 +132,10 @@ func (p *Platform) RunMethods(phys *circuit.Circuit) ([]MethodResult, error) {
 			ESP:          res.ESP,
 			NumBlocks:    res.NumBlocks,
 			WallTime:     res.WallTime,
-		})
+		}, res.Blocks)
 	}
 
-	for _, m := range []int{0, mTunedSentinel, paqoc.MInf} {
+	for _, name := range []string{"paqoc_m0", "paqoc_mtuned", "paqoc_minf"} {
 		cfg := paqoc.DefaultConfig()
 		cfg.FidelityTarget = p.Fidelity
 		// Rank analytically throughout (§III-B's observations exist to
@@ -140,28 +143,23 @@ func (p *Platform) RunMethods(phys *circuit.Circuit) ([]MethodResult, error) {
 		// once for the final customized gates. Probing is covered by the
 		// ablation benchmarks.
 		cfg.ProbeCaseII = false
-		name := ""
-		switch m {
-		case 0:
+		switch name {
+		case "paqoc_m0":
 			cfg.M = 0
-			name = "paqoc_m0"
-		case mTunedSentinel:
+		case "paqoc_mtuned":
 			patterns, err := mining.MineCtx(ctx, phys, mining.DefaultOptions())
 			if err != nil {
-				return nil, err
+				return err
 			}
 			cfg.M = mining.TunedM(phys, patterns, cfg.MinSupport)
-			name = "paqoc_mtuned"
-		default:
+		case "paqoc_minf":
 			cfg.M = paqoc.MInf
-			name = "paqoc_minf"
 		}
-		comp := p.newCompiler(nil, cfg)
-		res, err := comp.CompileCtx(ctx, phys)
+		res, err := paqoc.NewForProfile(nil, p.Profile, cfg).CompileCtx(ctx, phys)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out = append(out, MethodResult{
+		visit(MethodResult{
 			Method:       name,
 			Latency:      res.Latency,
 			TotalLatency: res.TotalLatency,
@@ -169,19 +167,9 @@ func (p *Platform) RunMethods(phys *circuit.Circuit) ([]MethodResult, error) {
 			ESP:          res.ESP,
 			NumBlocks:    res.NumBlocks,
 			WallTime:     res.WallTime,
-		})
+		}, res.Blocks)
 	}
-	return out, nil
-}
-
-const mTunedSentinel = -2
-
-// newCompiler builds a paqoc compiler aimed at the platform's backend.
-func (p *Platform) newCompiler(gen pulse.Generator, cfg paqoc.Config) *paqoc.Compiler {
-	if p.Profile != nil {
-		return paqoc.NewForProfile(gen, p.Profile, cfg)
-	}
-	return paqoc.New(gen, p.Topo, cfg)
+	return nil
 }
 
 // BenchRow pairs a benchmark with its per-method results.

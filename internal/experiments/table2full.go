@@ -4,20 +4,18 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 
 	"paqoc/internal/bench"
 	"paqoc/internal/grape"
-	"paqoc/internal/hamiltonian"
 	"paqoc/internal/paqoc"
-	"paqoc/internal/pulse"
 	"paqoc/internal/pulsesim"
 )
 
 // TableIIFullRow is the full-simulation counterpart of TableIIRow: real
 // GRAPE pulses, each block's schedule propagated through the device
 // Hamiltonian, whole-circuit state fidelity via the statevector backend,
-// and the dephasing factor of the critical path on top.
+// and the dephasing factor of the critical path (the profile's T2Dt) on
+// top.
 type TableIIFullRow struct {
 	Bench         string
 	Coherent      float64 // state fidelity of realized vs ideal gates
@@ -46,97 +44,51 @@ func TableIIFull(p *Platform, benches []string, maxUsedQubits int) ([]TableIIFul
 		}
 		gen := grape.NewGenerator(grape.DefaultOptions())
 		gen.Topo = p.Topo
-		if p.Profile != nil {
-			gen.System = p.Profile.SystemBuilder()
-		}
+		gen.System = p.Profile.SystemBuilder()
 		cfg := paqoc.DefaultConfig()
 		cfg.FidelityTarget = 0.999 // GRAPE-feasible target
 		cfg.ProbeCaseII = false
-		comp := p.newCompiler(gen, cfg)
-		res, err := comp.CompileCtx(context.Background(), phys)
+		res, err := paqoc.NewForProfile(gen, p.Profile, cfg).CompileCtx(context.Background(), phys)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", name, err)
 		}
 
-		// Compact the used physical qubits into a dense register.
-		used := map[int]bool{}
-		for _, b := range res.Blocks.Blocks {
-			for _, q := range b.Qubits {
-				used[q] = true
-			}
-		}
-		remap := map[int]int{}
-		var order []int
-		for q := range used {
-			order = append(order, q)
-		}
-		sort.Ints(order)
-		for i, q := range order {
-			remap[q] = i
-		}
-		if len(order) > maxUsedQubits {
+		n, remap := compactRegister(res.Blocks)
+		if n > maxUsedQubits {
 			return nil, fmt.Errorf("%s: %d used qubits exceed the statevector budget %d",
-				name, len(order), maxUsedQubits)
+				name, n, maxUsedQubits)
 		}
 
 		var ideal, realized []pulsesim.RealizedGate
 		for _, b := range res.Blocks.Blocks {
 			cg := b.Custom()
-			wires := make([]int, len(cg.Qubits))
-			for i, q := range cg.Qubits {
-				wires[i] = remap[q]
-			}
+			wires := localWires(remap, cg.Qubits)
 			want, err := cg.Unitary()
 			if err != nil {
 				return nil, err
 			}
-			sys := p.blockSystem(cg.NumQubits(), blockCouplings(p, cg))
-			got, err := pulsesim.EvolveCtx(context.Background(), sys, b.Gen.Schedule)
+			// Replay on the Hamiltonian the generator optimized this
+			// block's pulses on.
+			got, err := pulsesim.EvolveCtx(context.Background(), gen.BlockSystem(cg), b.Gen.Schedule)
 			if err != nil {
 				return nil, fmt.Errorf("%s: block %s: %v", name, cg.Describe(), err)
 			}
 			ideal = append(ideal, pulsesim.RealizedGate{U: want, Wires: wires})
 			realized = append(realized, pulsesim.RealizedGate{U: got, Wires: wires})
 		}
-		coherent, err := pulsesim.StateFidelity(len(order), ideal, realized)
+		coherent, err := pulsesim.StateFidelity(n, ideal, realized)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, TableIIFullRow{
 			Bench:         name,
 			Coherent:      coherent,
-			WithDephasing: coherent * pulsesim.DecoherenceFactor(res.Latency, pulsesim.DefaultT2),
+			WithDephasing: coherent * pulsesim.DecoherenceFactor(res.Latency, p.Profile.T2Dt),
 			Latency:       res.Latency,
 			Blocks:        res.NumBlocks,
 		})
 	}
 	return rows, nil
-}
-
-// blockSystem builds a block Hamiltonian under the platform's backend (the
-// paper's platform when no profile is set).
-func (p *Platform) blockSystem(n int, pairs [][2]int) *hamiltonian.System {
-	if p.Profile != nil {
-		return p.Profile.System(n, pairs)
-	}
-	return hamiltonian.XYTransmon(n, pairs)
-}
-
-// blockCouplings mirrors grape.Generator's coupling selection.
-func blockCouplings(p *Platform, cg *pulse.CustomGate) [][2]int {
-	n := cg.NumQubits()
-	var pairs [][2]int
-	for a := 0; a < n; a++ {
-		for b := a + 1; b < n; b++ {
-			if p.Topo == nil || p.Topo.Connected(cg.Qubits[a], cg.Qubits[b]) {
-				pairs = append(pairs, [2]int{a, b})
-			}
-		}
-	}
-	if len(pairs) == 0 && n > 1 {
-		pairs = hamiltonian.LinearChain(n)
-	}
-	return pairs
 }
 
 // PrintTableIIFull renders the full-simulation rows.

@@ -1,20 +1,13 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
-	"paqoc/internal/accqoc"
 	"paqoc/internal/bench"
-	"paqoc/internal/circuit"
 	"paqoc/internal/critical"
-	"paqoc/internal/latency"
-	"paqoc/internal/mining"
 	"paqoc/internal/noise"
-	"paqoc/internal/paqoc"
 	"paqoc/internal/statevec"
 )
 
@@ -29,8 +22,10 @@ type TableIINoisyRow struct {
 // TableIINoisy is the noise-channel upgrade of TableII: instead of the
 // scalar exp(-latency/T2) factor it plays every customized gate through
 // the density-matrix simulator with amplitude-damping and dephasing scaled
-// by the gate's pulse duration. Fidelity is ⟨ψ_ideal|ρ|ψ_ideal⟩.
-func TableIINoisy(p *Platform, params noise.Params) ([]TableIINoisyRow, error) {
+// by the gate's pulse duration, at the platform profile's T1/T2. Fidelity
+// is ⟨ψ_ideal|ρ|ψ_ideal⟩.
+func TableIINoisy(p *Platform) ([]TableIINoisyRow, error) {
+	params := p.Profile.Noise()
 	var rows []TableIINoisyRow
 	for _, name := range TableIIBenches {
 		spec, ok := bench.ByName(name)
@@ -42,94 +37,53 @@ func TableIINoisy(p *Platform, params noise.Params) ([]TableIINoisyRow, error) {
 			return nil, err
 		}
 		row := TableIINoisyRow{Bench: name, Fidelity: map[string]float64{}}
-		blocks, err := p.methodBlocks(phys)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %v", name, err)
-		}
-		for method, bc := range blocks {
+		err = p.compileMethods(phys, func(r MethodResult, bc *critical.BlockCircuit) {
 			f, err := noisyFidelity(bc, params)
 			if err != nil {
-				row.Fidelity[method] = math.NaN()
-				continue
+				f = math.NaN()
 			}
-			row.Fidelity[method] = f
+			row.Fidelity[r.Method] = f
+		})
+		if err != nil {
+			return nil, fmt.Errorf("%s: %v", name, err)
 		}
 		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-// methodBlocks compiles the physical circuit under all five methods and
-// returns the resulting block circuits.
-func (p *Platform) methodBlocks(phys *circuit.Circuit) (map[string]*critical.BlockCircuit, error) {
-	out := map[string]*critical.BlockCircuit{}
-	for _, depth := range []int{3, 5} {
-		gen := latency.NewModel()
-		gen.Topo = p.Topo
-		gen.Params = p.params()
-		gen.DB.DetectPermutations = false
-		res, err := accqoc.CompileCtx(context.Background(), phys, gen, accqoc.Options{MaxQubits: 3, Depth: depth, FidelityTarget: p.Fidelity})
-		if err != nil {
-			return nil, err
-		}
-		out[fmt.Sprintf("accqoc_n3d%d", depth)] = res.Blocks
+// compactRegister maps the physical qubits a block circuit uses onto a
+// dense register, in ascending order.
+func compactRegister(bc *critical.BlockCircuit) (n int, remap map[int]int) {
+	used := bc.Flatten().UsedQubits()
+	remap = make(map[int]int, len(used))
+	for i, q := range used {
+		remap[q] = i
 	}
-	for _, m := range []int{0, mTunedSentinel, paqoc.MInf} {
-		cfg := paqoc.DefaultConfig()
-		cfg.FidelityTarget = p.Fidelity
-		cfg.ProbeCaseII = false
-		name := ""
-		switch m {
-		case 0:
-			cfg.M = 0
-			name = "paqoc_m0"
-		case mTunedSentinel:
-			patterns, err := mining.MineCtx(context.Background(), phys, mining.DefaultOptions())
-			if err != nil {
-				return nil, err
-			}
-			cfg.M = mining.TunedM(phys, patterns, cfg.MinSupport)
-			name = "paqoc_mtuned"
-		default:
-			cfg.M = paqoc.MInf
-			name = "paqoc_minf"
-		}
-		comp := p.newCompiler(nil, cfg)
-		res, err := comp.CompileCtx(context.Background(), phys)
-		if err != nil {
-			return nil, err
-		}
-		out[name] = res.Blocks
+	return len(used), remap
+}
+
+// localWires relabels physical qubits onto the compacted register.
+func localWires(remap map[int]int, qubits []int) []int {
+	wires := make([]int, len(qubits))
+	for i, q := range qubits {
+		wires[i] = remap[q]
 	}
-	return out, nil
+	return wires
 }
 
 // noisyFidelity plays a block circuit through the density-matrix channel
 // model on the compacted register.
 func noisyFidelity(bc *critical.BlockCircuit, params noise.Params) (float64, error) {
-	used := map[int]bool{}
-	for _, b := range bc.Blocks {
-		for _, q := range b.Qubits {
-			used[q] = true
-		}
+	n, remap := compactRegister(bc)
+	if n > noise.MaxQubits {
+		return 0, fmt.Errorf("register too wide: %d", n)
 	}
-	var order []int
-	for q := range used {
-		order = append(order, q)
-	}
-	sort.Ints(order)
-	if len(order) > noise.MaxQubits {
-		return 0, fmt.Errorf("register too wide: %d", len(order))
-	}
-	if len(order) == 0 {
+	if n == 0 {
 		return 1, nil
 	}
-	remap := map[int]int{}
-	for i, q := range order {
-		remap[q] = i
-	}
 
-	ideal, err := statevec.NewState(len(order))
+	ideal, err := statevec.NewState(n)
 	if err != nil {
 		return 0, err
 	}
@@ -140,16 +94,13 @@ func noisyFidelity(bc *critical.BlockCircuit, params noise.Params) (float64, err
 		if err != nil {
 			return 0, err
 		}
-		wires := make([]int, len(cg.Qubits))
-		for i, q := range cg.Qubits {
-			wires[i] = remap[q]
-		}
+		wires := localWires(remap, cg.Qubits)
 		if err := ideal.ApplyUnitary(u, wires); err != nil {
 			return 0, err
 		}
 		gates = append(gates, noise.TimedGate{U: u, Wires: wires, Duration: b.Latency})
 	}
-	rho, err := noise.RunSequential(len(order), gates, params)
+	rho, err := noise.RunSequential(n, gates, params)
 	if err != nil {
 		return 0, err
 	}

@@ -85,8 +85,9 @@ func TableII(p *Platform) ([]TableIIRow, error) {
 		row := TableIIRow{Bench: name, Fidelity: map[string]float64{}}
 		for _, m := range results {
 			// Coherent part: the per-gate pulse errors are already folded
-			// into ESP (Eq. 2); dephasing follows the critical-path latency.
-			row.Fidelity[m.Method] = m.ESP * pulsesim.DecoherenceFactor(m.Latency, pulsesim.DefaultT2)
+			// into ESP (Eq. 2); dephasing follows the critical-path latency
+			// at the backend's T2.
+			row.Fidelity[m.Method] = m.ESP * pulsesim.DecoherenceFactor(m.Latency, p.Profile.T2Dt)
 		}
 		rows = append(rows, row)
 	}

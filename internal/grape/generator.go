@@ -155,7 +155,7 @@ func (g *Generator) optimize(ctx context.Context, cg *pulse.CustomGate, u *linal
 	if n := cg.NumQubits(); n > 2 {
 		opts.MaxIter *= n
 	}
-	sys := g.system(cg.NumQubits(), g.couplings(cg))
+	sys := g.BlockSystem(cg)
 	if g.DB != nil && g.SimilarityDist > 0 {
 		if e, _, ok := g.DB.Nearest(u, g.SimilarityDist); ok && e.Generated.Schedule != nil {
 			// Adopt the guess only when every control channel of this
@@ -208,9 +208,13 @@ func (g *Generator) optimize(ctx context.Context, cg *pulse.CustomGate, u *linal
 	}, nil
 }
 
-// system builds the block Hamiltonian via the configured builder, or the
-// paper's platform when none is set.
-func (g *Generator) system(n int, pairs [][2]int) *hamiltonian.System {
+// BlockSystem is the Hamiltonian this generator optimizes a customized
+// gate's pulses on: the gate's topology couplings under the configured
+// System builder, or the paper's platform when none is set. Replaying a
+// generated schedule on it (pulsesim.EvolveCtx) reproduces the realized
+// gate.
+func (g *Generator) BlockSystem(cg *pulse.CustomGate) *hamiltonian.System {
+	n, pairs := cg.NumQubits(), g.couplings(cg)
 	if g.System != nil {
 		return g.System(n, pairs)
 	}

@@ -25,9 +25,6 @@ type Params struct {
 	T2 float64 // total dephasing time (T2 ≤ 2·T1 physically); 0 disables
 }
 
-// NISQDefaults mirrors the platform used by pulsesim.DefaultT2.
-func NISQDefaults() Params { return Params{T1: 40000, T2: 20000} }
-
 // Density is an n-qubit density matrix ρ.
 type Density struct {
 	NumQubits int

@@ -10,6 +10,10 @@ import (
 	"paqoc/internal/statevec"
 )
 
+// nisq is a NISQ-era coherence regime in dt (the default device profile's
+// T1Dt/T2Dt).
+var nisq = Params{T1: 40000, T2: 20000}
+
 func TestNewDensityBounds(t *testing.T) {
 	if _, err := NewDensity(0); err == nil {
 		t.Error("0 qubits should fail")
@@ -131,7 +135,7 @@ func TestRunSequentialBellWithNoise(t *testing.T) {
 		t.Errorf("noiseless fidelity %g", f0)
 	}
 
-	noisy, err := RunSequential(2, gates, NISQDefaults())
+	noisy, err := RunSequential(2, gates, nisq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +158,7 @@ func TestLongerPulsesHurtMore(t *testing.T) {
 		for _, g := range gates {
 			ideal.ApplyUnitary(g.U, g.Wires)
 		}
-		d, err := RunSequential(3, gates, NISQDefaults())
+		d, err := RunSequential(3, gates, nisq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +199,7 @@ func BenchmarkRunSequential6Qubits(b *testing.B) {
 	for i := 0; i < 5; i++ {
 		gates = append(gates, TimedGate{U: quantum.MatCX, Wires: []int{i, i + 1}, Duration: 80})
 	}
-	p := NISQDefaults()
+	p := nisq
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := RunSequential(6, gates, p); err != nil {

@@ -136,8 +136,7 @@ func (cg *CustomGate) Describe() string {
 // cancellation and the observability backends (internal/obs spans and
 // metrics), and implementations must behave identically when it carries
 // nothing. Implementations: grape.Generator (real QOC) and latency.Model
-// (the paper's analytical model, §III-B). Context-free legacy
-// implementations satisfy LegacyGenerator and are lifted with Adapt.
+// (the paper's analytical model, §III-B).
 type Generator interface {
 	GenerateCtx(ctx context.Context, cg *CustomGate, fidelityTarget float64) (*Generated, error)
 }
@@ -150,13 +149,6 @@ type DBProvider interface {
 	PulseDB() *DB
 }
 
-// LegacyGenerator is the pre-context generator shape, kept so existing
-// context-free implementations (tests, third-party mocks) keep working
-// via Adapt.
-type LegacyGenerator interface {
-	Generate(cg *CustomGate, fidelityTarget float64) (*Generated, error)
-}
-
 // Remote is a cross-replica pulse source consulted on local database
 // misses, implemented by cluster.Remote. FetchPulse asks the key's owner
 // replica for an already-generated pulse (false on miss, owner-is-self, or
@@ -167,23 +159,6 @@ type LegacyGenerator interface {
 type Remote interface {
 	FetchPulse(ctx context.Context, u *linalg.Matrix) (*Generated, bool)
 	PublishPulse(ctx context.Context, u *linalg.Matrix, g *Generated)
-}
-
-// Adapt lifts a context-free generator into the context-first Generator
-// interface. If gen already implements Generator (the common case for
-// types that kept a deprecated Generate alongside GenerateCtx), it is
-// returned unchanged; otherwise the adapter ignores the context.
-func Adapt(gen LegacyGenerator) Generator {
-	if g, ok := gen.(Generator); ok {
-		return g
-	}
-	return legacyAdapter{gen}
-}
-
-type legacyAdapter struct{ gen LegacyGenerator }
-
-func (a legacyAdapter) GenerateCtx(_ context.Context, cg *CustomGate, fidelityTarget float64) (*Generated, error) {
-	return a.gen.Generate(cg, fidelityTarget)
 }
 
 // CanonicalKey returns a hashable identifier of a unitary modulo global

@@ -73,37 +73,6 @@ func TestGrapePulseSimulatesToTarget(t *testing.T) {
 	}
 }
 
-func TestCircuitSimBell(t *testing.T) {
-	sim, err := NewCircuitSim(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.Apply(quantum.MatH, []int{0})
-	sim.Apply(quantum.MatCX, []int{0, 1})
-	ideal := quantum.MatCX.Mul(quantum.MatH.Kron(quantum.MatI))
-	if f := sim.Fidelity(ideal); math.Abs(f-1) > 1e-10 {
-		t.Errorf("perfect-gate circuit fidelity %g", f)
-	}
-}
-
-func TestCircuitSimImperfectGate(t *testing.T) {
-	sim, _ := NewCircuitSim(1)
-	sim.Apply(quantum.RX(math.Pi*0.98), []int{0}) // slightly short X
-	f := sim.Fidelity(quantum.MatX)
-	if f > 0.9999 || f < 0.99 {
-		t.Errorf("fidelity %g not in expected imperfect band", f)
-	}
-}
-
-func TestCircuitSimBounds(t *testing.T) {
-	if _, err := NewCircuitSim(0); err == nil {
-		t.Error("0 qubits should fail")
-	}
-	if _, err := NewCircuitSim(13); err == nil {
-		t.Error("13 qubits should fail")
-	}
-}
-
 func TestESPProduct(t *testing.T) {
 	gens := []*pulse.Generated{
 		{Error: 0.01},
@@ -133,17 +102,16 @@ func TestDecoherenceFactor(t *testing.T) {
 	if math.Abs(f1-math.Exp(-1)) > 1e-12 {
 		t.Errorf("factor %g", f1)
 	}
-	// Default T2 kicks in for non-positive t2.
-	if DecoherenceFactor(100, 0) != DecoherenceFactor(100, DefaultT2) {
-		t.Error("default T2 not applied")
+	// A non-positive t2 turns the dephasing channel off.
+	for _, t2 := range []float64{0, -1} {
+		if f := DecoherenceFactor(100, t2); f != 1 {
+			t.Errorf("t2=%g: factor %g, want 1 (channel off)", t2, f)
+		}
 	}
 }
 
-func TestModelFidelityMonotoneInLatency(t *testing.T) {
-	gens := []*pulse.Generated{{Error: 0.001}}
-	fShort := ModelFidelity(gens, 100, DefaultT2)
-	fLong := ModelFidelity(gens, 5000, DefaultT2)
-	if fShort <= fLong {
+func TestDecoherenceFactorMonotoneInLatency(t *testing.T) {
+	if DecoherenceFactor(100, 20000) <= DecoherenceFactor(5000, 20000) {
 		t.Error("longer circuits must have lower modelled fidelity")
 	}
 }
@@ -261,5 +229,9 @@ func TestIdleDephasingWithGap(t *testing.T) {
 	// Untouched qubits contribute nothing.
 	if f := IdleDephasing(tl, 5, 1000); math.Abs(f-want) > 1e-12 {
 		t.Error("unused qubits should not add idle time")
+	}
+	// A non-positive t2 turns the dephasing channel off.
+	if f := IdleDephasing(tl, 2, 0); f != 1 {
+		t.Errorf("t2=0: factor %g, want 1 (channel off)", f)
 	}
 }

@@ -18,7 +18,7 @@ type RealizedGate struct {
 // gates against the ideal sequence, starting from |0…0⟩ on n qubits. It
 // uses the statevector backend, so it scales to the full 5×5-grid platform
 // (up to statevec.MaxQubits), far past the dense-unitary process-fidelity
-// limit. This is the large-circuit counterpart of CircuitSim.Fidelity.
+// limit.
 func StateFidelity(n int, ideal, realized []RealizedGate) (float64, error) {
 	if len(ideal) != len(realized) {
 		return 0, fmt.Errorf("pulsesim: %d ideal vs %d realized gates", len(ideal), len(realized))

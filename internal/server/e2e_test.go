@@ -48,7 +48,7 @@ func metricsSnapshot(t *testing.T, url string) (counters map[string]int64) {
 // TestE2ESyncCompile: a small circuit compiles synchronously through the
 // real pipeline (analytical generator) and reports a sane summary.
 func TestE2ESyncCompile(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, GridRows: 2, GridCols: 2})
+	_, ts := newTestServer(t, Config{Workers: 2, Backend: "xy-grid-2x2"})
 	code, out := postCompile(t, ts, api.CompileRequest{Circuit: "qubits 2\nh 0\ncx 0 1\ncx 0 1\nh 0\n"})
 	if code != http.StatusOK {
 		t.Fatalf("HTTP %d: %+v", code, out)
@@ -76,7 +76,7 @@ func TestE2ESyncCompile(t *testing.T) {
 // TestE2EConcurrentCompiles: many concurrent synchronous requests all
 // complete against the shared worker pool and pulse database.
 func TestE2EConcurrentCompiles(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 4, QueueDepth: 32, GridRows: 2, GridCols: 2})
+	_, ts := newTestServer(t, Config{Workers: 4, QueueDepth: 32, Backend: "xy-grid-2x2"})
 	circuits := []string{
 		"qubits 2\nh 0\ncx 0 1\n",
 		"qubits 3\nh 0\ncx 0 1\ncx 1 2\n",
@@ -107,7 +107,7 @@ func TestE2EConcurrentCompiles(t *testing.T) {
 // from the shared pulse database (grape.db_hits or pulse.db_dedups > 0)
 // and report the reuse as cache hits on the gates.
 func TestE2EWarmDBSecondRequest(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, GridRows: 1, GridCols: 2})
+	_, ts := newTestServer(t, Config{Workers: 2, Backend: "xy-grid-1x2"})
 	req := api.CompileRequest{Circuit: tinyCircuit, Grape: true, Mode: "sync", TimeoutMs: 120_000}
 
 	code, out := postCompile(t, ts, req)
@@ -140,7 +140,7 @@ func TestE2EWarmDBSecondRequest(t *testing.T) {
 // 504/timed_out — and the worker it ran on is free to serve the next
 // request immediately.
 func TestE2EDeadlineExceeded(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, GridRows: 1, GridCols: 2})
+	_, ts := newTestServer(t, Config{Workers: 1, Backend: "xy-grid-1x2"})
 	code, out := postCompile(t, ts, api.CompileRequest{Circuit: tinyCircuit, Grape: true, Mode: "sync", TimeoutMs: 1})
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("hopeless deadline: HTTP %d (%+v), want 504", code, out.JobStatus)
@@ -162,7 +162,7 @@ func TestE2EDeadlineExceeded(t *testing.T) {
 // registry's per-stage histograms report non-zero quantiles afterwards,
 // and GET /metrics?format=prom serves the histogram triplets.
 func TestE2ELiveCompileTelemetry(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 2, GridRows: 1, GridCols: 2})
+	s, ts := newTestServer(t, Config{Workers: 2, Backend: "xy-grid-1x2"})
 	code, out := postCompile(t, ts, api.CompileRequest{Circuit: tinyCircuit, Grape: true, Mode: "async", TimeoutMs: 120_000})
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d: %+v", code, out.JobStatus)
@@ -233,7 +233,7 @@ func TestE2ELiveCompileTelemetry(t *testing.T) {
 // crash-safely, and a new server starts warm from the file.
 func TestE2EShutdownPersistsDB(t *testing.T) {
 	dbPath := filepath.Join(t.TempDir(), "pulses.db")
-	cfg := Config{Workers: 2, GridRows: 1, GridCols: 2, DBPath: dbPath, Logger: quiet}
+	cfg := Config{Workers: 2, Backend: "xy-grid-1x2", DBPath: dbPath, Logger: quiet}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ const patternCircuit = "qubits 2\ncx 0 1\ncx 1 0\ncx 0 1\ncx 1 0\n"
 // cold starts than pass one.
 func TestE2EMiningTwoPassReplay(t *testing.T) {
 	s, ts := newTestServer(t, Config{
-		Workers: 2, GridRows: 1, GridCols: 2,
+		Workers: 2, Backend: "xy-grid-1x2",
 		MineInterval:   time.Hour, // driven manually via RunOnce
 		MineMinSupport: 2, MineBudget: 8,
 	})
@@ -140,7 +140,7 @@ func TestCompileMinSupportValidation(t *testing.T) {
 func TestE2EShutdownDuringPregen(t *testing.T) {
 	dbPath := filepath.Join(t.TempDir(), "pulses.db")
 	cfg := Config{
-		Workers: 2, GridRows: 1, GridCols: 2, DBPath: dbPath, Logger: quiet,
+		Workers: 2, Backend: "xy-grid-1x2", DBPath: dbPath, Logger: quiet,
 		MineInterval: 10 * time.Millisecond, MineMinSupport: 2,
 	}
 	s, err := New(cfg)

@@ -91,16 +91,12 @@ type Config struct {
 	// DBPath is set; negative disables periodic snapshots).
 	SnapshotInterval time.Duration
 	// Backend names the default device profile (internal/device registry
-	// or a dynamic name like "xy-grid-3x4"; default "xy-grid-5x5").
+	// or a dynamic name like "xy-grid-3x4"; default device.DefaultName).
 	// Requests may override it per job with their own "backend" field;
 	// each backend gets its own fingerprint-namespaced pulse database, so
 	// schedules never leak across devices. Only the default backend's
 	// database is persisted to DBPath.
 	Backend string
-	// GridRows/GridCols are the deprecated way to pick a grid device:
-	// when Backend is empty they map to the dynamic profile
-	// "xy-grid-<rows>x<cols>" (default 5×5).
-	GridRows, GridCols int
 	// JobRetention is how many finished jobs stay queryable (default 512).
 	JobRetention int
 	// RetryAfter is the hint sent with 429 responses (default 1s).
@@ -164,14 +160,8 @@ func (c *Config) fill() {
 	if c.SnapshotInterval == 0 {
 		c.SnapshotInterval = 5 * time.Minute
 	}
-	if c.GridRows <= 0 {
-		c.GridRows = 5
-	}
-	if c.GridCols <= 0 {
-		c.GridCols = 5
-	}
 	if c.Backend == "" {
-		c.Backend = fmt.Sprintf("xy-grid-%dx%d", c.GridRows, c.GridCols)
+		c.Backend = device.DefaultName
 	}
 	if c.JobRetention <= 0 {
 		c.JobRetention = 512
